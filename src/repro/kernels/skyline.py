@@ -39,7 +39,7 @@ import numpy as np
 from repro.engine.engine import EngineContext
 from repro.engine.protocols import SkylineState
 from repro.kernels.columnar import ColumnarInstance
-from repro.kernels.pareto import dominator_index, pareto_mask
+from repro.kernels.pareto import dense_ranks, rank_dominator_index, rank_pareto
 
 
 class MaskSkyline:
@@ -47,9 +47,11 @@ class MaskSkyline:
 
     Pure array state over one ``n × D`` coordinate matrix: no engine
     context, no id remapping — callers work in local row indices.
+    The matrix is rank-encoded once (:func:`~repro.kernels.pareto.dense_ranks`)
+    and every dominance test runs on row subsets of those ranks.
     """
 
-    def __init__(self, points: np.ndarray):
+    def __init__(self, points: np.ndarray) -> None:
         self.points = points
         n = points.shape[0]
         self.alive = np.ones(n, dtype=bool)
@@ -57,6 +59,9 @@ class MaskSkyline:
         #: Index of one skyline member dominating each alive
         #: non-skyline row; ``-1`` for members and dead rows.
         self.ref = np.full(n, -1, dtype=np.intp)
+        #: Per-column dense ranks of ``points``, set by
+        #: :meth:`compute_initial`.
+        self.ranks = np.zeros((0, points.shape[1]), dtype=np.intp)
         self.computed = False
 
     def sky_indices(self) -> np.ndarray:
@@ -71,16 +76,9 @@ class MaskSkyline:
         if self.computed:
             raise RuntimeError("initial skyline already computed")
         self.computed = True
-        points = self.points
-        self.sky_mask = pareto_mask(points)
-        sky_idx = self.sky_indices()
-        pool_idx = np.nonzero(~self.sky_mask)[0]
-        if pool_idx.size:
-            # Every non-member is dominated by some member (skyline
-            # definition), so every witness index is >= 0 here.
-            witness = dominator_index(points[pool_idx], points[sky_idx])
-            self.ref[pool_idx] = sky_idx[witness]
-        return sky_idx
+        self.ranks = dense_ranks(self.points)
+        self.sky_mask, self.ref = rank_pareto(self.ranks)
+        return self.sky_indices()
 
     def remove(self, removed_idx: np.ndarray) -> np.ndarray:
         """Retire member rows; returns the rows promoted to replace
@@ -91,15 +89,19 @@ class MaskSkyline:
         self.alive[removed_idx] = False
         self.sky_mask[removed_idx] = False
 
-        points = self.points
-        # (1) orphans: alive rows whose reference dominator died.
-        orphan_idx = np.nonzero(self.alive & np.isin(self.ref, removed_idx))[0]
+        ranks = self.ranks
+        # (1) orphans: alive rows whose reference dominator died.  The
+        #     extra last slot stays False, so ``ref == -1`` (members and
+        #     dead rows) cannot alias the last row.
+        died = np.zeros(self.ref.size + 1, dtype=bool)
+        died[removed_idx] = True
+        orphan_idx = np.nonzero(self.alive & died[self.ref])[0]
         if not orphan_idx.size:
             return orphan_idx
         # (2) re-home orphans a surviving member still dominates.
         survivors = self.sky_indices()
         if survivors.size:
-            witness = dominator_index(points[orphan_idx], points[survivors])
+            witness = rank_dominator_index(ranks[orphan_idx], ranks[survivors])
             found = witness >= 0
             self.ref[orphan_idx[found]] = survivors[witness[found]]
             orphan_idx = orphan_idx[~found]
@@ -107,21 +109,19 @@ class MaskSkyline:
             return orphan_idx
         # (3) orphan-vs-orphan Pareto pass; losers re-home onto the
         #     promoted member that dominates them.
-        promoted_local = pareto_mask(points[orphan_idx])
+        promoted_local, witness = rank_pareto(ranks[orphan_idx])
+        losers = ~promoted_local
         promoted = orphan_idx[promoted_local]
-        losers = orphan_idx[~promoted_local]
         self.sky_mask[promoted] = True
         self.ref[promoted] = -1
-        if losers.size:
-            witness = dominator_index(points[losers], points[promoted])
-            self.ref[losers] = promoted[witness]
+        self.ref[orphan_idx[losers]] = orphan_idx[witness[losers]]
         return promoted
 
 
 class VectorizedSkylineMaintenance:
     """The engine-facing adapter over :class:`MaskSkyline`."""
 
-    def __init__(self, ctx: EngineContext, columnar: ColumnarInstance):
+    def __init__(self, ctx: EngineContext, columnar: ColumnarInstance) -> None:
         self.columnar = columnar
         self._objects = ctx.objects
         self._mem = ctx.mem
