@@ -14,6 +14,7 @@ cross a process boundary — the contract a future HTTP layer serves.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,7 +27,7 @@ from repro.api.serde import (
     PROBLEM_SCHEMA,
     PROBLEM_SCHEMAS,
     SCHEMA_KEY,
-    canonical_digest,
+    canonical_json_with_last,
     check_payload,
     from_json,
     to_canonical_json,
@@ -41,6 +42,16 @@ _OPTION_TYPES = (bool, int, float, str, type(None))
 
 def _point_tuple(row: Sequence[float]) -> Point:
     return tuple(float(x) for x in row)
+
+
+def _frozen_options(options: Mapping[str, Any]) -> Mapping[str, Any]:
+    """Solver options as a sorted read-only mapping of JSON scalars."""
+    for name, value in dict(options).items():
+        if not isinstance(name, str) or not isinstance(value, _OPTION_TYPES):
+            raise InvalidProblemError(
+                f"solver option {name!r}={value!r} is not a JSON scalar"
+            )
+    return MappingProxyType(dict(sorted(dict(options).items())))
 
 
 def _normalize_caps(
@@ -100,16 +111,7 @@ class Problem:
         if self.priorities is not None:
             gammas = tuple(float(g) for g in self.priorities)
             set_(self, "priorities", None if all(g == 1.0 for g in gammas) else gammas)
-        for name, value in dict(self.options).items():
-            if not isinstance(name, str) or not isinstance(value, _OPTION_TYPES):
-                raise InvalidProblemError(
-                    f"solver option {name!r}={value!r} is not a JSON scalar"
-                )
-        set_(
-            self,
-            "options",
-            MappingProxyType(dict(sorted(dict(self.options).items()))),
-        )
+        set_(self, "options", _frozen_options(self.options))
         if not isinstance(self.page_size, int) or self.page_size < 64:
             raise InvalidProblemError(
                 f"page_size must be an int >= 64, got {self.page_size!r}"
@@ -234,8 +236,8 @@ class Problem:
         """``dataclasses.replace`` that carries over the validated
         instance containers for the side(s) a change doesn't touch —
         the shared (frozen) ``ObjectSet`` keeps its memoized cache
-        fingerprint, so deriving M solver variants of one catalogue
-        hashes it once, not M times."""
+        fingerprint, so deriving M cohorts of one catalogue hashes it
+        once, not M times."""
         derived = dataclasses.replace(self, **changes)
         if not {"objects", "object_capacities"} & changes.keys():
             derived.__dict__["object_set"] = self.object_set
@@ -243,15 +245,40 @@ class Problem:
             derived.__dict__["function_set"] = self.function_set
         return derived
 
+    def _with_solver(self, method: str, options: Mapping[str, Any]) -> "Problem":
+        """An O(1) copy with a new solver selection.
+
+        Only the solver section is validated; the instance tuples and
+        containers are shared, not rebuilt.  The instance digest
+        excludes the solver section, so it carries over; the full
+        digest and the plan depend on the solver and do not.
+        """
+        frozen = _frozen_options(options)
+        # Raises UnknownSolverError / InvalidSolverOptionError.
+        validate_solver_options(method, dict(frozen))
+        state = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        state.update(
+            method=method,
+            options=frozen,
+            object_set=self.object_set,
+            function_set=self.function_set,
+        )
+        instance_digest = self.__dict__.get("_instance_digest")
+        if instance_digest is not None:
+            state["_instance_digest"] = instance_digest
+        derived = object.__new__(type(self))
+        derived.__dict__.update(state)
+        return derived
+
     def with_method(self, method: str, **options: Any) -> "Problem":
         """A copy solved by a different method (options replaced)."""
-        return self._derive(method=method, options=options)
+        return self._with_solver(method, options)
 
     def with_options(self, **options: Any) -> "Problem":
         """A copy with updated solver options (merged over current)."""
         merged = dict(self.options)
         merged.update(options)
-        return self._derive(options=merged)
+        return self._with_solver(self.method, merged)
 
     def with_functions(
         self,
@@ -355,7 +382,7 @@ class Problem:
         )
 
     def to_json(self) -> str:
-        return to_canonical_json(self.to_dict())
+        return self.canonical_body().decode("utf-8")
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Problem":
@@ -377,13 +404,35 @@ class Problem:
 
     # -- content addressing --------------------------------------------
 
+    def canonical_body(self) -> bytes:
+        """The canonical JSON encoding (:meth:`to_json`) as bytes.
+
+        This is the one float-to-text pass: the instance text (every
+        section but ``solver``) is encoded once, the full text is that
+        with the solver section spliced in last (``"solver"`` sorts
+        after every other top-level key), and both digests are
+        memoized from the two texts.  The bytes themselves are not
+        kept — a server holds thousands of registered problems — so
+        a caller that forwards them owns them.
+        """
+        payload = self.to_dict()
+        solver = payload.pop("solver")
+        instance_text, text = canonical_json_with_last(payload, "solver", solver)
+        body = text.encode("utf-8")
+        instance_body = instance_text.encode("utf-8")
+        self.__dict__["_instance_digest"] = hashlib.sha256(instance_body).hexdigest()
+        self.__dict__["_digest"] = hashlib.sha256(body).hexdigest()
+        return body
+
     def digest(self) -> str:
         """Stable content address of the whole problem (catalogue,
         cohort, solver selection, index settings) — the registration
-        identity at a service boundary."""
+        identity at a service boundary: the SHA-256 of
+        :meth:`canonical_body`."""
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cached = self.__dict__["_digest"] = canonical_digest(self.to_dict())
+            self.canonical_body()
+            cached = self.__dict__["_digest"]
         return cached
 
     def instance_digest(self) -> str:
@@ -392,9 +441,8 @@ class Problem:
         thus share index/result cache locality downstream)."""
         cached = self.__dict__.get("_instance_digest")
         if cached is None:
-            payload = self.to_dict()
-            del payload["solver"]
-            cached = self.__dict__["_instance_digest"] = canonical_digest(payload)
+            self.canonical_body()
+            cached = self.__dict__["_instance_digest"]
         return cached
 
     # -- planning ------------------------------------------------------

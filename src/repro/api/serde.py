@@ -63,9 +63,27 @@ def check_payload(
         raise SerdeError(f"{schema!r} payload has unknown field(s) {sorted(unknown)}")
 
 
-def to_canonical_json(payload: dict) -> str:
+def to_canonical_json(payload: Mapping[str, Any]) -> str:
     """Canonical encoding: sorted keys, no insignificant whitespace."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json_with_last(
+    payload: Mapping[str, Any], key: str, value: Any
+) -> tuple[str, str]:
+    """``(to_canonical_json(payload), to_canonical_json({**payload, key:
+    value}))`` from a single encode of ``payload``.
+
+    ``key`` must sort after every key of ``payload``: sorted-key
+    encoding then places it last, so the extended text is the first
+    one with ``,"key":<value>`` spliced in before the closing brace.
+    """
+    if any(other >= key for other in payload):
+        raise ValueError(f"{key!r} does not sort after every payload key")
+    head = to_canonical_json(payload)
+    member = json.dumps(key) + ":" + to_canonical_json(value)
+    separator = "," if payload else ""
+    return head, head[:-1] + separator + member + "}"
 
 
 def from_json(text: str | bytes) -> Any:
@@ -75,7 +93,7 @@ def from_json(text: str | bytes) -> Any:
         raise SerdeError(f"malformed JSON payload: {exc}") from exc
 
 
-def canonical_digest(payload: dict) -> str:
+def canonical_digest(payload: Mapping[str, Any]) -> str:
     """SHA-256 hex digest of the canonical JSON encoding.
 
     Because :func:`to_canonical_json` is deterministic (sorted keys,
@@ -94,6 +112,7 @@ __all__ = [
     "SCHEMA_KEY",
     "SOLUTION_SCHEMA",
     "canonical_digest",
+    "canonical_json_with_last",
     "check_payload",
     "from_json",
     "to_canonical_json",

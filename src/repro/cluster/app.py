@@ -14,7 +14,8 @@ top of the :class:`~repro.cluster.forwarder.Fleet`:
 - **failover** — dead backends are skipped via the ring's successor
   list (request-path transport failures mark down immediately; the
   background prober also sweeps ``/healthz``).  The gateway remembers
-  registration payloads in a bounded LRU, so when a solve re-shards to
+  each problem's canonical JSON bytes in a bounded LRU (the same bytes
+  it forwarded at registration), so when a solve re-shards to
   a successor that has never seen the problem (404), it re-registers
   and retries once — clients ride through a backend death without
   re-sending anything.  A shard with no live replica answers 503 +
@@ -222,7 +223,8 @@ class ReproGateway:
         )
         self._metrics = GatewayMetrics()
         #: pid → {"instance_digest", "payload"} — the routing map plus
-        #: the failover re-registration store, LRU-bounded.
+        #: the failover re-registration store (``payload`` is the
+        #: problem's canonical JSON bytes), LRU-bounded.
         self._problems: OrderedDict[str, dict] = OrderedDict()
         self._conn_tasks: set[asyncio.Task] = set()
         self._tcp: asyncio.Server | None = None
@@ -259,11 +261,19 @@ class ReproGateway:
 
     # -- problem routing state -----------------------------------------
 
-    def _remember(self, problem: Problem, payload: dict) -> str:
+    @staticmethod
+    def _decode_problem(payload) -> tuple[Problem, bytes]:
+        """Validate a problem payload and encode it once: the canonical
+        bytes are both what is forwarded and what both digests hash
+        (worker-thread work — it is O(catalogue))."""
+        problem = Problem.from_dict(payload)
+        return problem, problem.canonical_body()
+
+    def _remember(self, problem: Problem, body: bytes) -> str:
         pid = problem.digest()
         self._problems[pid] = {
             "instance_digest": problem.instance_digest(),
-            "payload": payload,
+            "payload": body,
         }
         self._problems.move_to_end(pid)
         while len(self._problems) > self.config.problem_registry_size:
@@ -337,8 +347,10 @@ class ReproGateway:
                 "request body needs exactly one of 'problem' or 'problem_id'"
             )
         if "problem" in body:
-            problem = await asyncio.to_thread(Problem.from_dict, body["problem"])
-            pid = self._remember(problem, problem.to_dict())
+            problem, encoded = await asyncio.to_thread(
+                self._decode_problem, body["problem"]
+            )
+            pid = self._remember(problem, encoded)
             return problem.instance_digest(), self._problems[pid], dict(body)
         pid = body["problem_id"]
         if not isinstance(pid, str):
@@ -460,8 +472,8 @@ class ReproGateway:
         payload = request.json()
         if payload is None:
             raise SerdeError("problem registration needs a JSON body")
-        problem = await asyncio.to_thread(Problem.from_dict, payload)
-        pid = self._remember(problem, problem.to_dict())
+        problem, encoded = await asyncio.to_thread(self._decode_problem, payload)
+        pid = self._remember(problem, encoded)
         entry = self._problems[pid]
         backend, (status, body) = await self._forward(
             entry["instance_digest"],
@@ -792,6 +804,12 @@ class ReproGateway:
                     break
         # lint: except-ok(client hung up or idled out; nothing to answer)
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
+            pass
+        # lint: except-ok(stop() cancels open connections; end quietly)
+        except asyncio.CancelledError:
+            # Returning (not re-raising) keeps asyncio's stream callback,
+            # which asks the finished task for its exception, from
+            # logging a traceback for every kept-alive connection.
             pass
         finally:
             if task is not None:

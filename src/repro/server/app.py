@@ -475,12 +475,21 @@ class ReproServer:
             )
         return Response.json(snapshot)
 
-    async def _register_endpoint(self, request: Request) -> Response:
+    @staticmethod
+    def _decode_registration(request: Request) -> Problem:
+        """Decode + validate a registration body and memoize both of
+        its digests (one canonical encode) — payload work that runs on
+        a worker thread, so a large catalogue does not stall the loop."""
         payload = request.json()
         if payload is None:
             raise SerdeError("problem registration needs a JSON body")
+        problem = Problem.from_dict(payload)
+        problem.digest()
+        return problem
+
+    async def _register_endpoint(self, request: Request) -> Response:
         with span("problem.register") as register_span:
-            problem = Problem.from_dict(payload)
+            problem = await asyncio.to_thread(self._decode_registration, request)
             problem_id, created = self._register(problem)
             register_span.attributes["created"] = created
         if created:
@@ -792,6 +801,12 @@ class ReproServer:
                     break
         # lint: except-ok(client hung up or idled out; nothing to answer)
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
+            pass
+        # lint: except-ok(stop() cancels open connections; end quietly)
+        except asyncio.CancelledError:
+            # Returning (not re-raising) keeps asyncio's stream callback,
+            # which asks the finished task for its exception, from
+            # logging a traceback for every kept-alive connection.
             pass
         finally:
             if task is not None:

@@ -119,6 +119,13 @@ class Client:
     def request(self, method: str, path: str, payload=None):
         """One JSON round trip: ``(status, decoded body)``.
 
+        ``payload`` is JSON-encoded, unless it is ``bytes``: those are
+        sent unchanged as an already-encoded JSON body (such as the
+        canonical bytes a gateway keeps for re-registration).  A
+        :class:`Problem` is sent as its
+        :meth:`~repro.api.problem.Problem.canonical_body`, encoded
+        inside this call's span.
+
         Raises the typed :class:`~repro.errors.ServerError` hierarchy
         for non-success statuses (429 → :class:`ServerBusyError`,
         503 → :class:`ServerUnavailableError`).  Reconnects once,
@@ -139,7 +146,12 @@ class Client:
         # span's parent and the trees stitch across the wire.
         headers = {TRACE_HEADER: current_context().header()}
         if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
+            if isinstance(payload, Problem):
+                body = payload.canonical_body()
+            elif isinstance(payload, bytes):
+                body = payload
+            else:
+                body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         for attempt in (1, 2):
             conn = self._get_conn()
@@ -220,7 +232,7 @@ class Client:
 
     def register(self, problem: Problem) -> str:
         """Register (or re-find) a problem; returns its server id."""
-        _, body = self.request("POST", "/v1/problems", problem.to_dict())
+        _, body = self.request("POST", "/v1/problems", problem)
         problem_id = body["problem_id"]
         with self._guard:
             self._known[problem_id] = problem

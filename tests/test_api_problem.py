@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+import repro.api.problem as problem_module
 from repro.api import (
     InvalidProblemError,
     InvalidSolverOptionError,
@@ -154,3 +155,61 @@ def test_derived_problems_share_validated_sets():
     w = p.with_functions([(1.0, 0.0)])
     assert w.object_set is p.object_set
     assert w.function_set is not p.function_set
+
+
+def test_solver_derivation_shares_instance_without_revalidating(monkeypatch):
+    """with_method/with_options are O(1): the validated tuples and
+    containers are shared, and no instance container is rebuilt."""
+    p = figure1_problem(priorities=(2.0, 1.0, 1.0))
+    p.instance_digest()
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("instance re-validated on a solver derivation")
+
+    monkeypatch.setattr(problem_module, "ObjectSet", no_rebuild)
+    monkeypatch.setattr(problem_module, "FunctionSet", no_rebuild)
+    for derived in (p.with_method("chain"), p.with_options(multi_pair=True)):
+        assert derived.objects is p.objects
+        assert derived.functions is p.functions
+        assert derived.priorities is p.priorities
+        assert derived.object_set is p.object_set
+        assert derived.function_set is p.function_set
+        assert derived.instance_digest() == p.instance_digest()
+
+
+def test_solver_derivation_still_validates_the_solver_section():
+    p = figure1_problem()
+    with pytest.raises(UnknownSolverError):
+        p.with_method("no-such-solver")
+    with pytest.raises(InvalidSolverOptionError):
+        p.with_method("chain", omega_fraction=0.1)
+    with pytest.raises(InvalidSolverOptionError):
+        p.with_options(bogus=1)
+    with pytest.raises(InvalidProblemError):
+        p.with_options(omega_fraction=[1, 2])
+
+
+@pytest.mark.parametrize("memoize_first", [False, True])
+def test_derived_digest_equals_a_fresh_build(memoize_first):
+    """A derivation keeps the instance digest but never the base's full
+    digest or plan: both depend on the solver section."""
+    p = figure1_problem(method="auto")
+    if memoize_first:
+        p.digest()
+        p.plan()
+    for derived, fresh in (
+        (p.with_method("chain"), figure1_problem(method="chain")),
+        (
+            p.with_method("sb", omega_fraction=0.2),
+            figure1_problem(method="sb", options={"omega_fraction": 0.2}),
+        ),
+        (
+            p.with_method("sb").with_options(multi_pair=False),
+            figure1_problem(options={"multi_pair": False}),
+        ),
+    ):
+        assert derived == fresh
+        assert derived.digest() == fresh.digest() != p.digest()
+        assert derived.instance_digest() == fresh.instance_digest()
+        assert derived.plan() == fresh.plan()
+        assert derived.resolved_method == fresh.method

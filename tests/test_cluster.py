@@ -9,6 +9,8 @@ to ring successors with bit-identical results.
 """
 
 import concurrent.futures
+import http.client
+import logging
 import time
 
 import pytest
@@ -477,3 +479,41 @@ def test_gateway_boots_with_backends_already_down():
                 solution.verify()
     finally:
         live.close()
+
+
+def test_gateway_keeps_and_forwards_canonical_bytes(fleet, client):
+    """The gateway stores the canonical body it forwarded, not a dict:
+    the same bytes serve a later failover re-registration."""
+    problem = make_problem(seed=83)
+    pid = client.register(problem)
+    entry = fleet.gateway.gateway._problems[pid]
+    assert entry["payload"] == problem.canonical_body()
+    assert entry["instance_digest"] == problem.instance_digest()
+    owner = fleet.owner_address(problem)
+    with Client(f"http://{owner}") as direct:
+        assert direct.problem(pid) == problem
+
+
+def test_gateway_close_with_an_open_keep_alive_connection_is_quiet(
+    caplog, capfd
+):
+    """Gateway shutdown cancels idle kept-alive connections quietly."""
+    caplog.set_level(logging.INFO, logger="asyncio")
+    backend = serve_in_thread(ServerConfig(port=0))
+    try:
+        gateway = serve_gateway_in_thread(
+            gateway_config([f"127.0.0.1:{backend.port}"])
+        )
+        conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200 and not response.will_close
+            gateway.close()
+        finally:
+            conn.close()
+    finally:
+        backend.close()
+    assert [r for r in caplog.records if r.name.startswith("asyncio")] == []
+    assert capfd.readouterr().err == ""

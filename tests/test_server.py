@@ -7,6 +7,8 @@ path examples, CI smoke, and the throughput benchmark use.
 
 import asyncio
 import concurrent.futures
+import http.client
+import logging
 import random
 import threading
 
@@ -14,7 +16,13 @@ import pytest
 
 from repro.api import AssignmentSession, Problem
 from repro.errors import ServerBusyError, ServerError
-from repro.server import Client, ReproServer, ServerConfig, running_server
+from repro.server import (
+    Client,
+    ReproServer,
+    ServerConfig,
+    running_server,
+    serve_in_thread,
+)
 
 from .conftest import random_instance
 
@@ -506,3 +514,54 @@ def test_shared_client_is_thread_safe(server):
         # usable afterwards (threads transparently reconnect).
         shared.close()
         assert shared.health()["status"] == "ok"
+
+
+def test_registration_accepts_pre_encoded_bytes(client):
+    """``Client.request`` sends a ``bytes`` payload unchanged; the
+    canonical body registers under the problem's own digests."""
+    problem = make_problem(seed=17)
+    status, body = client.request(
+        "POST", "/v1/problems", problem.canonical_body()
+    )
+    assert status == 201
+    assert body["problem_id"] == problem.digest()
+    assert body["instance_digest"] == problem.instance_digest()
+    assert client.register(problem) == problem.digest()
+
+
+def test_registration_decodes_off_the_event_loop(monkeypatch):
+    """Decoding and validating a registration body is O(catalogue):
+    it runs on a worker thread, never on the server's loop thread."""
+    threads: list[int] = []
+    from_dict = Problem.from_dict.__func__
+
+    def recording(cls, payload):
+        threads.append(threading.get_ident())
+        return from_dict(cls, payload)
+
+    monkeypatch.setattr(Problem, "from_dict", classmethod(recording))
+    with running_server(ServerConfig(port=0)) as handle:
+        with Client(handle.base_url) as c:
+            problem = make_problem(seed=23)
+            assert c.register(problem) == problem.digest()
+        loop_thread = handle.thread.ident
+    assert threads
+    assert loop_thread not in threads
+
+
+def test_close_with_an_open_keep_alive_connection_is_quiet(caplog, capfd):
+    """Shutting down cancels idle kept-alive connections; that must not
+    log a ``CancelledError`` traceback from asyncio's stream callback."""
+    caplog.set_level(logging.INFO, logger="asyncio")
+    handle = serve_in_thread(ServerConfig(port=0))
+    conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
+    try:
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200 and not response.will_close
+        handle.close()
+    finally:
+        conn.close()
+    assert [r for r in caplog.records if r.name.startswith("asyncio")] == []
+    assert capfd.readouterr().err == ""
