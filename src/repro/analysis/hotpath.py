@@ -9,9 +9,12 @@
   ``_UNTRACED_PREFIXES`` / ``_UNTRACED_GET_PREFIXES`` constants joined
   with its ``router.add(method, path, self._handler)`` calls — so a
   newly registered untraced route is covered without touching the
-  linter.  Functions outside a router module opt in with a
-  ``# lint: never-traced`` marker on (or above) their ``def`` line
-  (probe sweeps).  State-*transition* logging (a backend flipping
+  linter.  A route table may also be a module-level ``ROUTES`` tuple
+  of ``(method, path, handler name)`` string triples (the shared
+  service skeleton's).  Functions outside a router module opt in with
+  a ``# lint: never-traced`` marker on (or above) their ``def`` line
+  (probe sweeps, and the handlers an app defines for the skeleton's
+  never-traced routes).  State-*transition* logging (a backend flipping
   down) lives in the transition methods, which these rules do not
   descend into — per-sweep bodies stay silent, rare flips stay loud.
 - **REP403** — bare ``except:`` anywhere: it catches
@@ -26,7 +29,9 @@
   every error envelope carrying ``trace_id`` and a stable shape.
   Boundary translators (``_dispatch_inner``, ``_handle_connection``,
   ``_relay_error``, ``_stamp_trace``) are exempt: they *are* the
-  translation layer.
+  translation layer.  A module defining a subclass of the service
+  skeleton (:data:`SERVICE_BASES`) is a serving module too, although
+  its route table lives in the skeleton.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ NEVER_TRACED_MARKER = "# lint: never-traced"
 ENVELOPE_BOUNDARIES = frozenset(
     {"_dispatch_inner", "_handle_connection", "_relay_error", "_stamp_trace"}
 )
+
+#: Base classes whose subclasses are serving apps: their modules get
+#: the REP405 check even though the route table is inherited.
+SERVICE_BASES = frozenset({"HttpService"})
 
 _SPAN_FACTORIES = {"span", "derived_span"}
 _LOG_METHODS = {"debug", "info", "warning", "error", "exception", "critical"}
@@ -84,7 +93,8 @@ def _module_constants(tree: ast.Module, name: str) -> tuple[str, ...]:
 
 
 def _routes(tree: ast.Module) -> list[tuple[str, str, str]]:
-    """``router.add("GET", "/path", self._handler)`` sites →
+    """``router.add("GET", "/path", self._handler)`` sites and
+    ``ROUTES = (("GET", "/path", "_handler"), ...)`` entries →
     ``[(http_method, path, handler_name), ...]``."""
     routes: list[tuple[str, str, str]] = []
     for node in ast.walk(tree):
@@ -112,7 +122,28 @@ def _routes(tree: ast.Module) -> list[tuple[str, str, str]]:
         )
         if handler is not None:
             routes.append((str(method_node.value), str(path_node.value), handler))
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "ROUTES" for t in node.targets)
+            and isinstance(node.value, (ast.Tuple, ast.List))
+        ):
+            for entry in node.value.elts:
+                triple = _str_tuple(entry)
+                if len(triple) == 3:
+                    method, path, handler = triple
+                    routes.append((method, path, handler))
     return routes
+
+
+def _defines_service(tree: ast.Module) -> bool:
+    """Whether the module defines a subclass of a :data:`SERVICE_BASES`
+    class (a serving app whose route table is inherited)."""
+    return any(
+        isinstance(node, ast.ClassDef)
+        and any(_dotted_tail(base) in SERVICE_BASES for base in node.bases)
+        for node in tree.body
+    )
 
 
 def untraced_handlers(tree: ast.Module) -> set[str]:
@@ -327,7 +358,8 @@ def check_hotpath(tree: ast.Module, path: str, source: str) -> list[Finding]:
     routes = _routes(tree)
     untraced = untraced_handlers(tree) if routes else set()
     untraced |= _marked_functions(source, tree)
-    visitor = _HygieneVisitor(path, untraced, router_module=bool(routes))
+    router_module = bool(routes) or _defines_service(tree)
+    visitor = _HygieneVisitor(path, untraced, router_module=router_module)
     visitor.visit(tree)
     return visitor.findings
 
@@ -340,5 +372,6 @@ __all__ = [
     "RULE_LOG_IN_UNTRACED",
     "RULE_SPAN_IN_UNTRACED",
     "RULE_SWALLOWED_EXCEPT",
+    "SERVICE_BASES",
     "check_hotpath",
 ]

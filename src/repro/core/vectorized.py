@@ -29,7 +29,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.ordering import neg
-from repro.scoring import SCORE_EPS, score
+from repro.scoring import score, score_tolerance
 
 
 class MatrixView:
@@ -150,15 +150,9 @@ class MatrixView:
         query_vector = np.asarray(query, dtype=np.float64)
         approx = self.matrix @ query_vector
         approx_max = float(approx.max())
-        # Matmul rounding error is relative to the summed *term*
-        # magnitudes (~dims ulps of sum|w_i·x_i|), which cancellation
-        # can leave orders of magnitude above the final score — a band
-        # scaled by the score itself (or a fixed one) silently drops
-        # the exact winner on high-magnitude mixed-sign rows.  Bound
-        # the terms by max|coord|·sum|w|; the floor of 1.0 keeps the
-        # original absolute margin for small instances.
-        term_scale = self._max_abs_coord * float(np.abs(query_vector).sum())
-        tolerance = SCORE_EPS * max(1.0, term_scale)
+        tolerance = score_tolerance(
+            self._max_abs_coord, float(np.abs(query_vector).sum())
+        )
         band = np.nonzero(approx >= approx_max - tolerance)[0]
         best_key = None
         best_i = -1

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.kernels.skyline import MaskSkyline
 from repro.ordering import PairKey, neg, pair_key
-from repro.scoring import SCORE_EPS, score
+from repro.scoring import score, score_tolerance
 
 #: Initial row allocation of a side's columnar arrays.
 INITIAL_ROWS = 8
@@ -171,7 +171,7 @@ class VectorizedChurnState:
         point = self.objects.data[self.objects.row_of[oid]]
         scores = self.functions.data[rows] @ point
         self.score_cells += int(scores.size)
-        tol = SCORE_EPS * max(1.0, self.functions.max_abs * float(np.abs(point).sum()))
+        tol = score_tolerance(self.functions.max_abs, float(np.abs(point).sum()))
         band = np.nonzero(scores >= scores.max() - tol)[0]
         if band.size > 1:
             self.tie_resolutions += 1
@@ -196,7 +196,7 @@ class VectorizedChurnState:
         weights = self.functions.data[self.functions.row_of[fid]]
         scores = self.objects.data[rows] @ weights
         self.score_cells += int(scores.size)
-        tol = SCORE_EPS * max(1.0, self.objects.max_abs * float(np.abs(weights).sum()))
+        tol = score_tolerance(self.objects.max_abs, float(np.abs(weights).sum()))
         band = np.nonzero(scores >= scores.max() - tol)[0]
         if band.size > 1:
             self.tie_resolutions += 1
@@ -254,9 +254,7 @@ class VectorizedChurnState:
             self.score_cells += int(scores.size)
 
             # -- fbest: canonically best free function per sky object.
-            col_tol = SCORE_EPS * np.maximum(
-                1.0, max_abs_w * np.abs(sky_points).sum(axis=1)
-            )
+            col_tol = score_tolerance(max_abs_w, np.abs(sky_points).sum(axis=1))
             col_band = scores >= (scores.max(axis=0) - col_tol)[None, :]
             fbest = alive_rows[scores.argmax(axis=0)]
             fbest_exact: dict[int, float] = {}
@@ -272,9 +270,7 @@ class VectorizedChurnState:
             # -- obest: canonically best sky object per candidate.
             cand_rows = np.unique(fbest)
             cand_scores = scores[np.searchsorted(alive_rows, cand_rows)]
-            row_tol = SCORE_EPS * np.maximum(
-                1.0, max_abs_p * np.abs(weights[cand_rows]).sum(axis=1)
-            )
+            row_tol = score_tolerance(max_abs_p, np.abs(weights[cand_rows]).sum(axis=1))
             row_band = cand_scores >= (cand_scores.max(axis=1) - row_tol)[:, None]
             obest = sky_loc[cand_scores.argmax(axis=1)]
             for t in np.nonzero(row_band.sum(axis=1) > 1)[0]:

@@ -25,7 +25,7 @@ from repro.engine.engine import EngineContext
 from repro.engine.protocols import RoundStrategy, SkylineState, StablePair
 from repro.kernels.skyline import VectorizedSkylineMaintenance
 from repro.ordering import neg
-from repro.scoring import SCORE_EPS, score
+from repro.scoring import score, score_tolerance
 
 
 class VectorizedMutualRound(RoundStrategy):
@@ -54,9 +54,7 @@ class VectorizedMutualRound(RoundStrategy):
         self.ctx.mem.set_gauge("score_matrix", scores.nbytes)
 
         # -- fbest: canonically best alive function per skyline object.
-        col_tol = SCORE_EPS * np.maximum(
-            1.0, col.max_abs_weight * np.abs(points).sum(axis=1)
-        )
+        col_tol = score_tolerance(col.max_abs_weight, np.abs(points).sum(axis=1))
         col_band = scores >= (scores.max(axis=0) - col_tol)[None, :]
         fbest_fid = alive[scores.argmax(axis=0)]
         fbest_exact: dict[int, float] = {}
@@ -71,9 +69,8 @@ class VectorizedMutualRound(RoundStrategy):
         # -- obest: canonically best skyline object per candidate.
         candidate_fids = np.unique(fbest_fid)
         cand_rows = scores[np.searchsorted(alive, candidate_fids)]
-        row_tol = SCORE_EPS * np.maximum(
-            1.0,
-            col.max_abs_point * np.abs(col.weights[candidate_fids]).sum(axis=1),
+        row_tol = score_tolerance(
+            col.max_abs_point, np.abs(col.weights[candidate_fids]).sum(axis=1)
         )
         row_band = cand_rows >= (cand_rows.max(axis=1) - row_tol)[:, None]
         obest_oid = sky[cand_rows.argmax(axis=1)]

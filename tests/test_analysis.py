@@ -302,6 +302,67 @@ def sweep(backends):
     assert rules_at(findings) == [("REP402", 3)]
 
 
+SKELETON_FIXTURE = """\
+ROUTES = (
+    ("GET", "/healthz", "_health"),
+    ("GET", "/v1/logs", "_get_logs"),
+)
+_UNTRACED_PREFIXES = ("/healthz", "/v1/logs")
+
+class HttpService:
+    def _get_logs(self, request):
+        log.info("tail read")
+        return Response.error(418, "teapot")
+"""
+
+APP_FIXTURE = """\
+class App(HttpService):
+    # lint: never-traced
+    def _health(self, request):
+        with span("health"):
+            return Response.json({"error": "down"}, status=503)
+
+    def _relay_error(self, request, exc):
+        return Response.error(409, str(exc))
+"""
+
+
+def test_service_skeleton_route_table_and_subclasses_are_checked():
+    """A ``ROUTES`` table drives the never-traced rules like
+    ``router.add`` calls do, and a module subclassing the skeleton is
+    a serving module (REP405) although its route table is inherited."""
+    findings = check_hotpath(
+        ast.parse(SKELETON_FIXTURE), "service.py", SKELETON_FIXTURE
+    )
+    assert rules_at(findings) == [("REP402", 9), ("REP405", 10)]
+    findings = check_hotpath(ast.parse(APP_FIXTURE), "app.py", APP_FIXTURE)
+    # The marked handler is never-traced; _relay_error is a boundary.
+    assert rules_at(findings) == [("REP401", 4), ("REP405", 5)]
+
+
+def test_app_handlers_for_untraced_routes_are_marked():
+    """The skeleton's route table decides which requests are traced;
+    each app must mark exactly its handlers for those routes
+    ``# lint: never-traced`` so REP401/REP402 keep covering them."""
+    from repro.analysis.hotpath import _marked_functions, untraced_handlers
+
+    def parsed(rel: str) -> tuple[str, ast.Module]:
+        source = (REPO_ROOT / rel).read_text(encoding="utf-8")
+        return source, ast.parse(source)
+
+    _, skeleton = parsed("src/repro/server/service.py")
+    untraced = untraced_handlers(skeleton)
+    assert {"_health", "_metrics_endpoint", "_get_job", "_get_logs"} <= untraced
+    for rel in ("src/repro/server/app.py", "src/repro/cluster/app.py"):
+        source, tree = parsed(rel)
+        defined = {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert _marked_functions(source, tree) == untraced & defined, rel
+
+
 # ---------------------------------------------------------------------------
 # suppressions
 

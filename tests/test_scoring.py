@@ -1,9 +1,10 @@
 """The scoring contract: one summation order, monotone comparisons."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scoring import SCORE_EPS, score
+from repro.scoring import SCORE_EPS, score, score_tolerance
 
 
 def test_empty():
@@ -56,3 +57,12 @@ def test_eps_is_tiny_but_not_zero():
     # score difference the generators produce.
     assert 0 < SCORE_EPS <= 1e-6
     assert SCORE_EPS >= 1e-12
+
+
+def test_score_tolerance_is_one_rule_for_scalars_and_rows():
+    """The tie band: SCORE_EPS, scaled up by the term bound
+    ``max_abs * abs_sum`` once that exceeds 1."""
+    sums = np.array([0.0, 0.25, 3.0e6])
+    expected = [SCORE_EPS * max(1.0, 2.0 * float(x)) for x in sums]
+    assert score_tolerance(2.0, sums).tolist() == expected
+    assert score_tolerance(2.0, 3.0e6) == expected[2]

@@ -7,8 +7,6 @@ path examples, CI smoke, and the throughput benchmark use.
 
 import asyncio
 import concurrent.futures
-import http.client
-import logging
 import random
 import threading
 
@@ -21,7 +19,6 @@ from repro.server import (
     ReproServer,
     ServerConfig,
     running_server,
-    serve_in_thread,
 )
 
 from .conftest import random_instance
@@ -224,24 +221,6 @@ def test_bad_server_config_fails_at_startup():
     ):
         with pytest.raises(ValueError):
             ReproServer(ServerConfig(**bad))
-
-
-def test_stalled_connection_is_dropped_by_read_timeout():
-    """Regression: a peer that opens a connection and never finishes a
-    request must be dropped, not pin its connection task forever."""
-    import socket
-
-    with running_server(
-        ServerConfig(port=0, read_timeout_seconds=0.2)
-    ) as handle:
-        stalled = socket.create_connection(("127.0.0.1", handle.port), timeout=10)
-        stalled.sendall(b"POST /v1/solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n")
-        stalled.settimeout(10)
-        assert stalled.recv(1024) == b""  # server closed on us
-        stalled.close()
-        # the server is still serving normal clients afterwards
-        with Client(handle.base_url) as client:
-            assert client.health()["status"] == "ok"
 
 
 def test_problem_registry_is_lru_bounded():
@@ -547,21 +526,3 @@ def test_registration_decodes_off_the_event_loop(monkeypatch):
         loop_thread = handle.thread.ident
     assert threads
     assert loop_thread not in threads
-
-
-def test_close_with_an_open_keep_alive_connection_is_quiet(caplog, capfd):
-    """Shutting down cancels idle kept-alive connections; that must not
-    log a ``CancelledError`` traceback from asyncio's stream callback."""
-    caplog.set_level(logging.INFO, logger="asyncio")
-    handle = serve_in_thread(ServerConfig(port=0))
-    conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
-    try:
-        conn.request("GET", "/healthz")
-        response = conn.getresponse()
-        response.read()
-        assert response.status == 200 and not response.will_close
-        handle.close()
-    finally:
-        conn.close()
-    assert [r for r in caplog.records if r.name.startswith("asyncio")] == []
-    assert capfd.readouterr().err == ""
