@@ -5,43 +5,203 @@ instance: the object catalogue (points + capacities), the preference
 cohort (weights + priorities + capacities), the solver selection
 (named method + keyword options) and the index/storage settings.  It
 validates on construction (:class:`~repro.errors.InvalidProblemError`
-/ :class:`~repro.errors.UnknownSolverError`), is canonically
-normalized (all-1 capacity and priority vectors collapse to ``None``),
-and round-trips through versioned dict/JSON serde so instances can
-cross a process boundary — the contract a future HTTP layer serves.
+/ :class:`~repro.errors.UnknownSolverError`; NaN and infinite values
+are refused), is canonically normalized (all-1 capacity and priority
+vectors collapse to ``None``), and round-trips through versioned
+dict/JSON serde so instances can cross a process boundary.
+
+Catalogues are interned per process: every ``Problem`` over the same
+points and capacities shares one :class:`Catalogue` record (validated
+and fingerprinted once, its JSON text encoded once), held in a
+:data:`CATALOGUE_SLOTS`-entry LRU.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from collections.abc import Mapping, Sequence
+import math
+import threading
+from collections import OrderedDict
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Any
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.api.serde import (
     PROBLEM_SCHEMA,
     PROBLEM_SCHEMAS,
     SCHEMA_KEY,
-    canonical_json_with_last,
+    canonical_members,
     check_payload,
     from_json,
     to_canonical_json,
 )
 from repro.core import validate_solver_options
-from repro.data.instances import FunctionSet, ObjectSet, Point
+from repro.data.instances import (
+    FunctionSet,
+    ObjectSet,
+    Point,
+    catalogue_fingerprint,
+)
 from repro.errors import InvalidProblemError, SerdeError
 from repro.planner import AUTO_METHOD, Plan, explicit_plan, plan_instance
 
 _OPTION_TYPES = (bool, int, float, str, type(None))
 
+#: How many distinct catalogues a process keeps interned; the least
+#: recently used record beyond that leaves the table (problems that
+#: hold it keep it alive).
+CATALOGUE_SLOTS = 8
+
+#: ``np.array(points)`` dtypes that take the vector conversion path.
+_COLUMN_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
+
 
 def _point_tuple(row: Sequence[float]) -> Point:
     return tuple(float(x) for x in row)
+
+
+def _encode(section: Any) -> bytes:
+    # Canonical JSON escapes every non-ASCII character, so its text
+    # and its UTF-8 bytes are the same ASCII.
+    return to_canonical_json(section).encode("ascii")
+
+
+def _require_finite(values: Sequence[float], what: str) -> None:
+    if not all(map(math.isfinite, values)):
+        raise InvalidProblemError(f"{what} must be finite, got {tuple(values)}")
+
+
+class Catalogue:
+    """One validated object catalogue, shared by every :class:`Problem`
+    over it: the read-only float64 point matrix, the point tuples, the
+    normalized capacities, the frozen :class:`ObjectSet` (fingerprint
+    preset) and, once a problem over it is first digested, the
+    canonical text of the ``"objects"`` section."""
+
+    def __init__(
+        self,
+        fingerprint: str,
+        matrix: np.ndarray,
+        capacities: tuple[int, ...] | None,
+    ) -> None:
+        self.matrix = matrix
+        self.points: tuple[Point, ...] = tuple(map(tuple, matrix.tolist()))
+        self.capacities = capacities
+        self.object_set = ObjectSet.from_validated(self.points, capacities, matrix)
+        self.object_set._repro_fingerprint = fingerprint
+        self._text: bytes | None = None
+
+    def section(self) -> dict:
+        """The ``"objects"`` section of :meth:`Problem.to_dict`."""
+        return {
+            "points": self.matrix.tolist(),
+            "capacities": (
+                list(self.capacities) if self.capacities is not None else None
+            ),
+        }
+
+    def text(self) -> bytes:
+        """The canonical encoding of :meth:`section`, made on first use.
+
+        Two threads racing here both encode and store equal bytes.
+        """
+        text = self._text
+        if text is None:
+            text = self._text = _encode(self.section())
+        return text
+
+
+class _CatalogueTable:
+    """Process-wide LRU of :class:`Catalogue` records keyed by
+    :func:`~repro.data.instances.catalogue_fingerprint`."""
+
+    def __init__(self, slots: int) -> None:
+        self._slots = slots
+        self._lock = threading.Lock()
+        self._records: OrderedDict[str, Catalogue] = OrderedDict()
+
+    def intern(self, fingerprint: str, build: Callable[[], Catalogue]) -> Catalogue:
+        """The record for ``fingerprint``, built (outside the lock) on a
+        miss; racing builders of one catalogue all get the first record
+        stored."""
+        with self._lock:
+            record = self._records.get(fingerprint)
+            if record is not None:
+                self._records.move_to_end(fingerprint)
+                return record
+        built = build()
+        with self._lock:
+            record = self._records.setdefault(fingerprint, built)
+            self._records.move_to_end(fingerprint)
+            while len(self._records) > self._slots:
+                self._records.popitem(last=False)
+        return record
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._records)
+
+
+_CATALOGUES = _CatalogueTable(CATALOGUE_SLOTS)
+
+
+def _point_matrix(points: Sequence[Sequence[float]]) -> np.ndarray:
+    """The catalogue as a read-only float64 matrix of its own.
+
+    One vector conversion when ``np.array(points)`` is a non-empty 2-D
+    float64 or int64 array; anything else (strings, all-bool rows,
+    ragged rows, ints beyond int64, empty input) goes row by row
+    through :func:`float`, with the errors that path has always raised.
+    """
+    try:
+        matrix: np.ndarray | None = np.array(points)
+    except (ValueError, TypeError, OverflowError):
+        matrix = None
+    if (
+        matrix is None
+        or matrix.dtype not in _COLUMN_DTYPES
+        or matrix.ndim != 2
+        or 0 in matrix.shape
+    ):
+        rows = tuple(_point_tuple(p) for p in points)
+        if not rows:
+            raise InvalidProblemError("a Problem needs at least one object")
+        dims = len(rows[0])
+        if any(len(row) != dims for row in rows):
+            raise InvalidProblemError("all object points must share one dimensionality")
+        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), dims)
+    matrix = matrix.astype(np.float64, copy=False)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _catalogue(
+    points: Sequence[Sequence[float]], capacities: Sequence[int] | None
+) -> Catalogue:
+    """Validate a catalogue with vector checks and return its interned
+    record."""
+    matrix = _point_matrix(points)
+    if not np.isfinite(matrix).all():
+        raise InvalidProblemError("object points must be finite (no NaN or inf)")
+    caps = _normalize_caps(capacities, matrix.shape[0], "object")
+    cap_column = None
+    if caps is not None:
+        if min(caps) < 1:
+            raise InvalidProblemError("object capacities must be >= 1")
+        try:
+            cap_column = np.asarray(caps, dtype=np.int64)
+        except OverflowError as exc:
+            raise InvalidProblemError("object capacities must fit in int64") from exc
+    fingerprint = catalogue_fingerprint(matrix, cap_column)
+    return _CATALOGUES.intern(fingerprint, lambda: Catalogue(fingerprint, matrix, caps))
 
 
 def _frozen_options(options: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -91,18 +251,18 @@ class Problem:
     buffer_fraction: float = 0.02
 
     def __post_init__(self) -> None:
+        self._validate(_catalogue(self.objects, self.object_capacities))
+
+    def _validate(self, catalogue: Catalogue) -> None:
+        """Normalize and check every section but the catalogue, which
+        ``catalogue`` already is, and attach the instance containers."""
         set_ = object.__setattr__
-        set_(self, "objects", tuple(_point_tuple(p) for p in self.objects))
+        set_(self, "objects", catalogue.points)
+        set_(self, "object_capacities", catalogue.capacities)
         set_(self, "functions", tuple(_point_tuple(w) for w in self.functions))
-        if not self.objects:
-            raise InvalidProblemError("a Problem needs at least one object")
         if not self.functions:
             raise InvalidProblemError("a Problem needs at least one function")
-        set_(
-            self,
-            "object_capacities",
-            _normalize_caps(self.object_capacities, len(self.objects), "object"),
-        )
+        _require_finite(tuple(chain.from_iterable(self.functions)), "weights")
         set_(
             self,
             "function_capacities",
@@ -110,6 +270,7 @@ class Problem:
         )
         if self.priorities is not None:
             gammas = tuple(float(g) for g in self.priorities)
+            _require_finite(gammas, "priorities")
             set_(self, "priorities", None if all(g == 1.0 for g in gammas) else gammas)
         set_(self, "options", _frozen_options(self.options))
         if not isinstance(self.page_size, int) or self.page_size < 64:
@@ -123,17 +284,9 @@ class Problem:
         set_(self, "buffer_fraction", float(self.buffer_fraction))
         # Raises UnknownSolverError / InvalidSolverOptionError.
         validate_solver_options(self.method, dict(self.options))
-        # Building the instance containers runs their structural
-        # validation (dimensionalities, weight sums, capacity floors).
+        # Building the cohort container runs its structural validation
+        # (dimensionality, weight sums, capacity floors).
         try:
-            oset = ObjectSet(
-                list(self.objects),
-                capacities=(
-                    list(self.object_capacities)
-                    if self.object_capacities is not None
-                    else None
-                ),
-            ).freeze()
             fset = FunctionSet(
                 list(self.functions),
                 gammas=(list(self.priorities) if self.priorities is not None else None),
@@ -145,12 +298,13 @@ class Problem:
             )
         except ValueError as exc:
             raise InvalidProblemError(str(exc)) from exc
-        if oset.dims != fset.dims:
+        if catalogue.matrix.shape[1] != fset.dims:
             raise InvalidProblemError(
-                f"objects are {oset.dims}-dimensional but functions are "
-                f"{fset.dims}-dimensional"
+                f"objects are {catalogue.matrix.shape[1]}-dimensional but "
+                f"functions are {fset.dims}-dimensional"
             )
-        self.__dict__["object_set"] = oset
+        self.__dict__["_catalogue"] = catalogue
+        self.__dict__["object_set"] = catalogue.object_set
         self.__dict__["function_set"] = fset
 
     def __hash__(self) -> int:
@@ -172,6 +326,11 @@ class Problem:
         )
 
     # -- instance views ------------------------------------------------
+
+    @cached_property
+    def _catalogue(self) -> Catalogue:
+        """The interned catalogue record (shared, never copied)."""
+        raise AssertionError("populated in __post_init__")
 
     @cached_property
     def object_set(self) -> ObjectSet:
@@ -233,16 +392,15 @@ class Problem:
     # -- derivation ----------------------------------------------------
 
     def _derive(self, **changes: Any) -> "Problem":
-        """``dataclasses.replace`` that carries over the validated
-        instance containers for the side(s) a change doesn't touch —
-        the shared (frozen) ``ObjectSet`` keeps its memoized cache
-        fingerprint, so deriving M cohorts of one catalogue hashes it
-        once, not M times."""
-        derived = dataclasses.replace(self, **changes)
-        if not {"objects", "object_capacities"} & changes.keys():
-            derived.__dict__["object_set"] = self.object_set
-        if not {"functions", "priorities", "function_capacities"} & changes.keys():
-            derived.__dict__["function_set"] = self.function_set
+        """``dataclasses.replace`` for changes that leave the catalogue
+        alone: the copy shares this problem's catalogue record and
+        validates only the other sections, so deriving M cohorts of one
+        catalogue converts, checks and hashes it once, not M times."""
+        state = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        state.update(changes)
+        derived = object.__new__(type(self))
+        derived.__dict__.update(state)
+        derived._validate(self._catalogue)
         return derived
 
     def _with_solver(self, method: str, options: Mapping[str, Any]) -> "Problem":
@@ -260,6 +418,7 @@ class Problem:
         state.update(
             method=method,
             options=frozen,
+            _catalogue=self._catalogue,
             object_set=self.object_set,
             function_set=self.function_set,
         )
@@ -288,9 +447,9 @@ class Problem:
     ) -> "Problem":
         """A new cohort over the same catalogue (index cache reuse)."""
         return self._derive(
-            functions=tuple(_point_tuple(w) for w in functions),
-            priorities=tuple(priorities) if priorities is not None else None,
-            function_capacities=tuple(capacities) if capacities is not None else None,
+            functions=functions,
+            priorities=priorities,
+            function_capacities=capacities,
         )
 
     def with_objects(
@@ -299,7 +458,8 @@ class Problem:
         capacities: Sequence[int] | None = None,
     ) -> "Problem":
         """The same cohort over a different catalogue."""
-        return self._derive(
+        return dataclasses.replace(
+            self,
             objects=tuple(_point_tuple(p) for p in objects),
             object_capacities=tuple(capacities) if capacities is not None else None,
         )
@@ -310,31 +470,33 @@ class Problem:
         """Canonical JSON-compatible payload (versioned schema)."""
         return {
             SCHEMA_KEY: PROBLEM_SCHEMA,
-            "objects": {
-                "points": [list(p) for p in self.objects],
-                "capacities": (
-                    list(self.object_capacities)
-                    if self.object_capacities is not None
-                    else None
-                ),
-            },
-            "functions": {
-                "weights": [list(w) for w in self.functions],
-                "priorities": (
-                    list(self.priorities) if self.priorities is not None else None
-                ),
-                "capacities": (
-                    list(self.function_capacities)
-                    if self.function_capacities is not None
-                    else None
-                ),
-            },
-            "solver": {"method": self.method, "options": dict(self.options)},
-            "index": {
-                "page_size": self.page_size,
-                "memory": self.memory_index,
-                "buffer_fraction": self.buffer_fraction,
-            },
+            "objects": self._catalogue.section(),
+            "functions": self._functions_section(),
+            "solver": self._solver_section(),
+            "index": self._index_section(),
+        }
+
+    def _functions_section(self) -> dict:
+        return {
+            "weights": [list(w) for w in self.functions],
+            "priorities": (
+                list(self.priorities) if self.priorities is not None else None
+            ),
+            "capacities": (
+                list(self.function_capacities)
+                if self.function_capacities is not None
+                else None
+            ),
+        }
+
+    def _solver_section(self) -> dict:
+        return {"method": self.method, "options": dict(self.options)}
+
+    def _index_section(self) -> dict:
+        return {
+            "page_size": self.page_size,
+            "memory": self.memory_index,
+            "buffer_fraction": self.buffer_fraction,
         }
 
     @classmethod
@@ -365,15 +527,12 @@ class Problem:
             missing = required_keys - set(section)
             if missing:
                 raise SerdeError(f"{name!r} section missing field(s) {sorted(missing)}")
-        caps = objects.get("capacities")
-        fcaps = functions.get("capacities")
-        gammas = functions.get("priorities")
         return cls(
-            objects=tuple(tuple(p) for p in objects["points"]),
-            functions=tuple(tuple(w) for w in functions["weights"]),
-            object_capacities=tuple(caps) if caps is not None else None,
-            function_capacities=tuple(fcaps) if fcaps is not None else None,
-            priorities=tuple(gammas) if gammas is not None else None,
+            objects=objects["points"],
+            functions=functions["weights"],
+            object_capacities=objects.get("capacities"),
+            function_capacities=functions.get("capacities"),
+            priorities=functions.get("priorities"),
             method=solver["method"],
             options=dict(solver.get("options") or {}),
             page_size=index.get("page_size", 4096),
@@ -407,19 +566,24 @@ class Problem:
     def canonical_body(self) -> bytes:
         """The canonical JSON encoding (:meth:`to_json`) as bytes.
 
-        This is the one float-to-text pass: the instance text (every
-        section but ``solver``) is encoded once, the full text is that
-        with the solver section spliced in last (``"solver"`` sorts
-        after every other top-level key), and both digests are
-        memoized from the two texts.  The bytes themselves are not
-        kept — a server holds thousands of registered problems — so
-        a caller that forwards them owns them.
+        This is the one float-to-text pass, and it is made once per
+        distinct catalogue per process: the ``"objects"`` section's
+        text is kept on the shared catalogue record, and only the
+        small sections are encoded per problem.  The instance text is
+        every section but ``solver``; both digests are memoized from
+        the two texts.  The bytes themselves are not kept — a server
+        holds thousands of registered problems — so a caller that
+        forwards them owns them.
         """
-        payload = self.to_dict()
-        solver = payload.pop("solver")
-        instance_text, text = canonical_json_with_last(payload, "solver", solver)
-        body = text.encode("utf-8")
-        instance_body = instance_text.encode("utf-8")
+        sections = {
+            SCHEMA_KEY: _encode(PROBLEM_SCHEMA),
+            "objects": self._catalogue.text(),
+            "functions": _encode(self._functions_section()),
+            "index": _encode(self._index_section()),
+        }
+        instance_body = canonical_members(sections)
+        sections["solver"] = _encode(self._solver_section())
+        body = canonical_members(sections)
         self.__dict__["_instance_digest"] = hashlib.sha256(instance_body).hexdigest()
         self.__dict__["_digest"] = hashlib.sha256(body).hexdigest()
         return body

@@ -68,22 +68,19 @@ def to_canonical_json(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def canonical_json_with_last(
-    payload: Mapping[str, Any], key: str, value: Any
-) -> tuple[str, str]:
-    """``(to_canonical_json(payload), to_canonical_json({**payload, key:
-    value}))`` from a single encode of ``payload``.
-
-    ``key`` must sort after every key of ``payload``: sorted-key
-    encoding then places it last, so the extended text is the first
-    one with ``,"key":<value>`` spliced in before the closing brace.
-    """
-    if any(other >= key for other in payload):
-        raise ValueError(f"{key!r} does not sort after every payload key")
-    head = to_canonical_json(payload)
-    member = json.dumps(key) + ":" + to_canonical_json(value)
-    separator = "," if payload else ""
-    return head, head[:-1] + separator + member + "}"
+def canonical_members(members: Mapping[str, bytes]) -> bytes:
+    """The canonical encoding of an object whose member values are
+    already canonically encoded: equal to ``to_canonical_json`` of the
+    decoded object, so sections encoded (and kept) separately join
+    without being encoded again."""
+    return (
+        b"{"
+        + b",".join(
+            json.dumps(key).encode("ascii") + b":" + members[key]
+            for key in sorted(members)
+        )
+        + b"}"
+    )
 
 
 def from_json(text: str | bytes) -> Any:
@@ -112,7 +109,7 @@ __all__ = [
     "SCHEMA_KEY",
     "SOLUTION_SCHEMA",
     "canonical_digest",
-    "canonical_json_with_last",
+    "canonical_members",
     "check_payload",
     "from_json",
     "to_canonical_json",

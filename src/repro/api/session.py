@@ -15,6 +15,7 @@ and departure.  Sessions are context managers; a closed session raises
 from __future__ import annotations
 
 import contextvars
+import math
 from collections.abc import Iterable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -42,6 +43,8 @@ _DYNAMIC_METHOD = "dynamic"
 
 def _check_weights(weights: Sequence[float], dims: int) -> tuple[float, ...]:
     w = tuple(float(x) for x in weights)
+    if not all(map(math.isfinite, w)):
+        raise InvalidProblemError(f"weights must be finite, got {w}")
     if len(w) != dims:
         raise InvalidProblemError(f"expected {dims}-dimensional weights, got {len(w)}")
     if any(x < 0 for x in w):
@@ -367,6 +370,8 @@ class AssignmentSession:
         for event in events:
             if isinstance(event, ObjectArrived):
                 point = tuple(float(x) for x in event.point)
+                if not all(map(math.isfinite, point)):
+                    raise InvalidProblemError(f"point must be finite, got {point}")
                 if len(point) != dims:
                     raise InvalidProblemError(
                         f"expected {dims}-dimensional point, got {len(point)}"
@@ -383,8 +388,10 @@ class AssignmentSession:
                 del self._dyn_objects[event.oid]
             elif isinstance(event, FunctionArrived):
                 weights = _check_weights(event.weights, dims)
-                if event.priority <= 0:
-                    raise InvalidProblemError("priority must be positive")
+                if not (0 < event.priority < math.inf):
+                    raise InvalidProblemError(
+                        f"priority must be positive and finite, got {event.priority}"
+                    )
                 if event.capacity < 1:
                     raise InvalidProblemError("function capacity must be >= 1")
                 effective = tuple(x * event.priority for x in weights)

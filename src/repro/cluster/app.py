@@ -39,7 +39,9 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import Counter, OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Any
 
 from repro.api.problem import Problem
 from repro.api.solution import Solution
@@ -179,6 +181,27 @@ class ReproGateway(HttpService):
         problem = Problem.from_dict(payload)
         return problem, problem.canonical_body()
 
+    @classmethod
+    def _decode_registration(cls, request: Request) -> tuple[Problem, bytes]:
+        """JSON-decode a registration body, then :meth:`_decode_problem`
+        it (worker-thread work: the body is O(catalogue))."""
+        payload = request.json()
+        if payload is None:
+            raise SerdeError("problem registration needs a JSON body")
+        return cls._decode_problem(payload)
+
+    @classmethod
+    def _decode_inline(
+        cls, request: Request
+    ) -> tuple[Mapping[str, Any], tuple[Problem, bytes] | None]:
+        """JSON-decode a ``/v1/solve`` or ``/v1/jobs`` body, check its
+        target, and :meth:`_decode_problem` an inline ``problem``
+        (worker-thread work: an inline body is O(catalogue))."""
+        body = cls._solve_target(request.json(default={}))
+        if "problem" not in body:
+            return body, None
+        return body, cls._decode_problem(body["problem"])
+
     def _remember(self, problem: Problem, body: bytes) -> str:
         pid = problem.digest()
         self._problems[pid] = {
@@ -240,16 +263,16 @@ class ReproGateway(HttpService):
 
         return fn
 
-    async def _resolve_inline_target(self, body) -> tuple[str, dict | None, dict]:
+    async def _resolve_inline_target(
+        self, request: Request
+    ) -> tuple[str, dict | None, dict]:
         """``(routing key, registry entry, body-to-forward)`` for a
-        ``/v1/solve`` or ``/v1/jobs`` payload carrying exactly one of
-        ``problem`` (inline, parsed off-loop for its digest) or
+        ``/v1/solve`` or ``/v1/jobs`` request carrying exactly one of
+        ``problem`` (inline, decoded off-loop for its digest) or
         ``problem_id`` (resolved from the gateway's routing map)."""
-        body = self._solve_target(body)
-        if "problem" in body:
-            problem, encoded = await asyncio.to_thread(
-                self._decode_problem, body["problem"]
-            )
+        body, decoded = await asyncio.to_thread(self._decode_inline, request)
+        if decoded is not None:
+            problem, encoded = decoded
             pid = self._remember(problem, encoded)
             return problem.instance_digest(), self._problems[pid], dict(body)
         entry = self._routing_entry(body["problem_id"])
@@ -361,10 +384,7 @@ class ReproGateway(HttpService):
         return totals, unreachable
 
     async def _register_endpoint(self, request: Request) -> Response:
-        payload = request.json()
-        if payload is None:
-            raise SerdeError("problem registration needs a JSON body")
-        problem, encoded = await asyncio.to_thread(self._decode_problem, payload)
+        problem, encoded = await asyncio.to_thread(self._decode_registration, request)
         pid = self._remember(problem, encoded)
         entry = self._problems[pid]
         backend, (status, body) = await self._forward(
@@ -395,9 +415,7 @@ class ReproGateway(HttpService):
         return Response.json(body, status=status)
 
     async def _solve_inline(self, request: Request) -> Response:
-        key, entry, body = await self._resolve_inline_target(
-            request.json(default={})
-        )
+        key, entry, body = await self._resolve_inline_target(request)
         backend, (status, payload) = await self._forward(
             key, self._reregistering("POST", "/v1/solve", body, entry)
         )
@@ -405,9 +423,7 @@ class ReproGateway(HttpService):
         return Response.json(payload, status=status)
 
     async def _submit_job(self, request: Request) -> Response:
-        key, entry, body = await self._resolve_inline_target(
-            request.json(default={})
-        )
+        key, entry, body = await self._resolve_inline_target(request)
         backend, (status, payload) = await self._forward(
             key, self._reregistering("POST", "/v1/jobs", body, entry)
         )

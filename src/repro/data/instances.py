@@ -8,8 +8,11 @@ optional priorities γ and capacities, Sections 3 and 6 of the paper).
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import FrozenInstanceError
 
@@ -18,6 +21,24 @@ Point = tuple[float, ...]
 
 def _as_tuples(rows: Sequence[Sequence[float]]) -> list[Point]:
     return [tuple(float(x) for x in row) for row in rows]
+
+
+def catalogue_fingerprint(points: np.ndarray, capacities: np.ndarray | None) -> str:
+    """Content hash of a catalogue: its float64 point matrix and int64
+    capacity vector (``None`` when every capacity is 1).
+
+    The one catalogue identity: the index cache keys built R-trees by
+    it and :mod:`repro.api.problem` interns catalogues by it.
+    """
+    h = hashlib.sha256()
+    # Shape goes into the digest: without it, the raw bytes of e.g. a
+    # 6x2 and a 4x3 catalogue collide and would share a cached index.
+    h.update(repr(points.shape).encode())
+    h.update(points.tobytes())
+    if capacities is not None:
+        h.update(b"caps")
+        h.update(capacities.tobytes())
+    return h.hexdigest()
 
 
 @dataclass
@@ -43,8 +64,41 @@ class ObjectSet:
             if any(c < 1 for c in self.capacities):
                 raise ValueError("object capacities must be >= 1")
 
+    @classmethod
+    def from_validated(
+        cls,
+        points: tuple[Point, ...],
+        capacities: tuple[int, ...] | None,
+        matrix: np.ndarray,
+    ) -> "ObjectSet":
+        """A frozen set over rows the caller already converted and
+        validated: ``points`` and ``capacities`` are shared, not
+        copied, and ``matrix`` (their read-only float64 form) becomes
+        the memoized :meth:`point_matrix`."""
+        oset = cls.__new__(cls)
+        oset.points = points  # type: ignore[assignment]
+        oset.capacities = capacities  # type: ignore[assignment]
+        oset._point_matrix = matrix
+        oset._frozen = True
+        return oset
+
     def __len__(self) -> int:
         return len(self.points)
+
+    def point_matrix(self) -> np.ndarray:
+        """``points`` as an |O| × D float64 matrix.
+
+        Memoized, read-only, once the set is frozen (its rows can no
+        longer change); a fresh array on every call before that.
+        """
+        cached = self.__dict__.get("_point_matrix")
+        if cached is not None:
+            return cached
+        matrix = np.asarray(self.points, dtype=np.float64)
+        if self.is_frozen:
+            matrix.flags.writeable = False
+            self._point_matrix = matrix
+        return matrix
 
     def freeze(self) -> "ObjectSet":
         """Make the catalogue immutable (idempotent; returns self).

@@ -23,7 +23,8 @@ class ReproError(Exception):
 
 class InvalidProblemError(ReproError, ValueError):
     """A problem instance is structurally invalid (mismatched
-    dimensionalities, weights not summing to 1, capacities < 1, ...)."""
+    dimensionalities, weights not summing to 1, capacities < 1, a NaN
+    or infinite point, weight or priority, ...)."""
 
 
 class UnknownSolverError(ReproError, ValueError):

@@ -1,6 +1,8 @@
 """The columnar instance representation the kernels operate on.
 
-Built once per solve: the object coordinate matrix, the (γ-scaled)
+Built once per solve: the object coordinate matrix (the frozen
+catalogue's memoized :meth:`~repro.data.instances.ObjectSet.point_matrix`,
+so a catalogue is converted once, not per solve), the (γ-scaled)
 function weight matrix, the two capacity vectors, and the absolute
 coordinate maxima that scale every exact-winner tolerance band (the
 PR 4 ``MatrixView`` discipline: rounding error of a dot product is
@@ -10,28 +12,34 @@ not to the final — possibly cancelled — score).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.data.instances import FunctionSet, ObjectSet
+
+
+def _capacity_vector(capacities: Sequence[int] | None, n: int) -> np.ndarray:
+    if capacities is None:
+        return np.ones(n, dtype=np.int64)
+    return np.asarray(capacities, dtype=np.int64)
 
 
 class ColumnarInstance:
     """Flat float64/int64 views of one ``(functions, objects)`` pair."""
 
     def __init__(self, functions: FunctionSet, objects: ObjectSet):
-        #: |O| × D object coordinates (row i == ``objects.points[i]``).
-        self.points = np.asarray(objects.points, dtype=np.float64)
+        #: |O| × D object coordinates (row i == ``objects.points[i]``),
+        #: read-only and shared when the catalogue is frozen.
+        self.points = objects.point_matrix()
         #: |F| × D *effective* (γ-scaled) weights (Section 6.2).
         self.weights = np.asarray(functions.all_effective_weights(), dtype=np.float64)
         #: Remaining-capacity seeds (Section 6.1); the engine's
         #: CapacityTracker owns the per-pair decrements, these vectors
         #: seed the kernels' alive masks and size estimates.
-        self.object_capacities = np.asarray(
-            [objects.capacity(i) for i in range(len(objects))], dtype=np.int64
-        )
-        self.function_capacities = np.asarray(
-            [functions.capacity(i) for i in range(len(functions))],
-            dtype=np.int64,
+        self.object_capacities = _capacity_vector(objects.capacities, len(objects))
+        self.function_capacities = _capacity_vector(
+            functions.capacities, len(functions)
         )
         self.max_abs_point = (
             float(np.abs(self.points).max()) if self.points.size else 0.0

@@ -27,7 +27,6 @@ run truly in parallel with bit-identical results.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import OrderedDict
@@ -39,13 +38,15 @@ import numpy as np
 from repro.core import solve
 from repro.core.index import ObjectIndex, build_object_index
 from repro.core.types import AssignmentResult
-from repro.data.instances import FunctionSet, ObjectSet
+from repro.data.instances import FunctionSet, ObjectSet, catalogue_fingerprint
 from repro.obs.trace import attach_engine_spans, span
 from repro.planner import AUTO_METHOD, Plan, plan_instance
 
 
 def object_set_fingerprint(objects: ObjectSet) -> str:
-    """Content hash of an :class:`ObjectSet` — the cache identity.
+    """Content hash of an :class:`ObjectSet` — the cache identity:
+    :func:`~repro.data.instances.catalogue_fingerprint` of its point
+    matrix and capacities.
 
     Two structurally identical object sets (same points, same
     capacities) fingerprint equally even when they are distinct Python
@@ -58,20 +59,14 @@ def object_set_fingerprint(objects: ObjectSet) -> str:
     """
     objects.freeze()
     cached = getattr(objects, "_repro_fingerprint", None)
-    if cached is not None:
-        return cached
-    points = np.asarray(objects.points, dtype=np.float64)
-    h = hashlib.sha256()
-    # Shape goes into the digest: without it, the raw bytes of e.g. a
-    # 6x2 and a 4x3 catalogue collide and would share a cached index.
-    h.update(repr(points.shape).encode())
-    h.update(points.tobytes())
-    if objects.capacities is not None:
-        h.update(b"caps")
-        h.update(np.asarray(objects.capacities, dtype=np.int64).tobytes())
-    digest = h.hexdigest()
-    objects._repro_fingerprint = digest
-    return digest
+    if cached is None:
+        caps = objects.capacities
+        cached = catalogue_fingerprint(
+            objects.point_matrix(),
+            None if caps is None else np.asarray(caps, dtype=np.int64),
+        )
+        objects._repro_fingerprint = cached
+    return cached
 
 
 @dataclass

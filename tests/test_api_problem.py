@@ -99,6 +99,35 @@ def test_invalid_problems_rejected(kwargs):
         Problem(**base)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "where",
+    ["object point", "object point (per-element path)", "weight", "priority"],
+)
+def test_non_finite_values_are_rejected(where, bad):
+    objects = [list(p) for p in OBJECTS]
+    functions = [list(w) for w in FUNCTIONS]
+    priorities = None
+    if where == "object point":
+        objects[2][1] = bad
+    elif where == "object point (per-element path)":
+        objects[2] = ["0.8", str(bad)]
+    elif where == "weight":
+        functions[1] = [bad, 0.5]
+    else:
+        priorities = [1.0, bad, 1.0]
+    with pytest.raises(InvalidProblemError, match="finite"):
+        Problem(objects=objects, functions=functions, priorities=priorities)
+
+
+def test_a_nan_token_in_a_payload_is_rejected():
+    """``json`` reads the non-standard ``NaN`` token as a float; the
+    problem built from it is refused, not solved to a crash."""
+    body = figure1_problem().to_json().replace("0.6", "NaN", 1)
+    with pytest.raises(InvalidProblemError, match="finite"):
+        Problem.from_json(body)
+
+
 def test_unknown_solver_and_option_are_typed_errors():
     with pytest.raises(UnknownSolverError):
         figure1_problem(method="no-such-solver")

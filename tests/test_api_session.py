@@ -252,3 +252,22 @@ def test_futures_submitted_before_close_still_resolve():
     results = [f.result() for f in futures]
     assert all(r.as_dict() == results[0].as_dict() for r in results)
     assert session.closed
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "make_event",
+    [
+        lambda bad: ObjectArrived(point=(0.5, bad)),
+        lambda bad: FunctionArrived(weights=(bad, 0.5)),
+        lambda bad: FunctionArrived(weights=(0.5, 0.5), priority=bad),
+    ],
+    ids=["object-point", "function-weight", "function-priority"],
+)
+def test_churn_rejects_non_finite_event_values(make_event, bad):
+    fs, os_ = random_instance(4, 8, 2, seed=21)
+    with AssignmentSession(Problem.from_sets(os_, fs)) as session:
+        before = session.apply([]).as_dict()
+        with pytest.raises(InvalidProblemError):
+            session.apply(make_event(bad))
+        assert session.current().as_dict() == before

@@ -9,6 +9,7 @@ to ring successors with bit-identical results.
 """
 
 import concurrent.futures
+import threading
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from repro.api import AssignmentSession, Problem
 from repro.cluster import GatewayConfig, running_gateway, serve_gateway_in_thread
 from repro.errors import ServerError, ServerUnavailableError
 from repro.server import Client, ServerConfig, serve_in_thread
+from repro.server.http import Request
 
 from .conftest import random_instance
 
@@ -379,6 +381,28 @@ def test_inline_solve_and_submit_without_prior_registration(fleet, client):
     assert client.result(submitted["job_id"]).to_dict()["pairs"] == (
         direct.to_dict()["pairs"]
     )
+
+
+def test_gateway_decodes_problem_bodies_off_its_event_loop(
+    fleet, client, monkeypatch
+):
+    """Registration and inline solve/job bodies are JSON-decoded on a
+    worker thread, never on the thread running the gateway's loop."""
+    decoded_on: list[tuple[str, str]] = []
+    original = Request.json
+
+    def spy(self, default=None):
+        decoded_on.append((self.path, threading.current_thread().name))
+        return original(self, default)
+
+    monkeypatch.setattr(Request, "json", spy)
+    problem = make_problem(seed=72)
+    client.register(problem)
+    client.request("POST", "/v1/solve", {"problem": problem.to_dict()})
+    client.request("POST", "/v1/jobs", {"problem": problem.to_dict()})
+    paths = {path for path, _ in decoded_on}
+    assert {"/v1/problems", "/v1/solve", "/v1/jobs"} <= paths
+    assert [entry for entry in decoded_on if entry[1] == "repro-gateway"] == []
 
 
 def test_gateway_metrics_aggregate_fleet_counters(fleet, client):

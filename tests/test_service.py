@@ -14,6 +14,7 @@ import socket
 
 import pytest
 
+from repro.api import Problem
 from repro.cluster import GatewayConfig, serve_gateway_in_thread
 from repro.errors import ServerError
 from repro.server import Client, ServerConfig, serve_in_thread
@@ -81,6 +82,34 @@ def test_oversized_body_gets_413_and_a_closed_connection(app):
             assert client.health()["status"] == "ok"
             statuses = client.metrics()["http"]["responses_by_status"]
             assert statuses["413"] == 1
+
+
+@pytest.mark.parametrize("path", ["/v1/problems", "/v1/solve", "/v1/jobs"])
+@pytest.mark.parametrize("app", APPS)
+def test_a_nan_token_gets_a_400_envelope(app, path):
+    """A non-finite coordinate is a client error on every ingest route,
+    not a solver crash (500)."""
+    payload = (
+        Problem.builder()
+        .add_objects([(0.5, 0.6), (0.2, 0.7)])
+        .add_functions([(0.8, 0.2)])
+        .build()
+        .to_dict()
+    )
+    text = json.dumps(payload if path == "/v1/problems" else {"problem": payload})
+    body = text.replace("0.6", "NaN", 1).encode("utf-8")
+    assert b"NaN" in body
+    with hosted(app) as handle:
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=10)
+        try:
+            conn.request("POST", path, body=body)
+            response = conn.getresponse()
+            envelope = json.loads(response.read())
+        finally:
+            conn.close()
+    assert response.status == 400
+    assert envelope["type"] == "InvalidProblemError"
+    assert "finite" in envelope["error"]
 
 
 @pytest.mark.parametrize("app", APPS)
